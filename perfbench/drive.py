@@ -103,6 +103,7 @@ def ensemble(seed: int, seconds: float, traced: bool) -> Phase:
     index = 1
     stop = time.monotonic() + seconds
     while index == 1 or time.monotonic() < stop:
+        r0 = time.monotonic()
         batch = wl.ensemble_batch(seed, index)
         c0, t0 = time.process_time(), time.monotonic()
         res = engine.solve(batch)
@@ -110,12 +111,15 @@ def ensemble(seed: int, seconds: float, traced: bool) -> Phase:
         solve_s += t1 - t0
         solve_cpu += c1 - c0
         phase.latencies.append(t1 - t0)
-        if traced:
-            root = phase.spans.add("request", t0, t1, request=index)
-            phase.spans.add("engine.solve", t0, t1, root, index)
         rotations += res.stats.rotations_applied
         pairs += res.stats.pairs_seen
         _check_batch(phase, batch, res)
+        if traced:
+            # The request spans making, solving and checking the batch,
+            # so the coverage check asks how much of it the engine is.
+            root = phase.spans.add("request", r0, time.monotonic(),
+                                   request=index)
+            phase.spans.add("engine.solve", t0, t1, root, index)
         phase.completed += len(batch)
         index += 1
     phase.window, phase.cpu = solve_s, solve_cpu
@@ -213,23 +217,30 @@ def served(name: str, seed: int, seconds: float, traced: bool) -> Phase:
     return phase
 
 
+async def burst(gateway: Any, requests: List[Tuple[str, np.ndarray]],
+                phase: Phase) -> None:
+    """Send ``requests`` through the gateway all at once and check each
+    result."""
+    results = await asyncio.gather(
+        *(gateway.submit(A, kind=kind, tenant=wl.TENANTS[0])
+          for kind, A in requests), return_exceptions=True)
+    for (kind, A), res in zip(requests, results):
+        phase.attempted += 1
+        if isinstance(res, BaseException):
+            phase.fail(type(res).__name__)
+            continue
+        phase.received += 1
+        if not _ok(kind, A, res):
+            phase.fail("wrong")
+
+
 async def _warm(gateway: Any, requests: List[Tuple[str, np.ndarray]],
                 phase: Phase) -> None:
     """Two concurrent bursts: enough flushes in flight at once that the
     pool spawns both workers before the window opens."""
     half = len(requests) // 2
-    for burst in (requests[:half], requests[half:]):
-        results = await asyncio.gather(
-            *(gateway.submit(A, kind=kind, tenant=wl.TENANTS[0])
-              for kind, A in burst), return_exceptions=True)
-        for (kind, A), res in zip(burst, results):
-            phase.attempted += 1
-            if isinstance(res, BaseException):
-                phase.fail(type(res).__name__)
-                continue
-            phase.received += 1
-            if not _ok(kind, A, res):
-                phase.fail("wrong")
+    for part in (requests[:half], requests[half:]):
+        await burst(gateway, part, phase)
 
 
 def _ok(kind: str, A: np.ndarray, res: Any) -> bool:

@@ -51,6 +51,15 @@ def descendants(root: int = 0) -> List[int]:
     return found
 
 
+def pool_workers() -> List[int]:
+    """Pids of live descendants other than multiprocessing's resource
+    tracker: the pool's worker processes."""
+    from multiprocessing import resource_tracker
+
+    tracker = resource_tracker._resource_tracker._pid
+    return [pid for pid in descendants() if pid != tracker]
+
+
 def cpu_seconds() -> float:
     """User plus system CPU seconds of this process (all threads) and
     of its live descendants."""

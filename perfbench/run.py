@@ -28,8 +28,6 @@ ROOT = os.path.dirname(HERE)
 
 #: Fresh-process set-up probes per run; their median is ``setup_s``.
 SETUP_PROBES = 5
-#: Requests per slice for tail percentiles (see ``_latency_ms``).
-LATENCY_SLICE = 1000
 #: Median-latency share the traced stage spans must explain.
 MIN_SPAN_COVERAGE = 0.9
 
@@ -58,17 +56,10 @@ def _phase(name: str, seed: int, seconds: float, traced: bool):
 
 
 def _latency_ms(phase, q: float) -> float:
-    """Percentile ``q`` of the request latencies, in ms.  The tail is
-    taken per slice of ``LATENCY_SLICE`` consecutive requests (so each
-    p99 still has ten samples beyond it) and the median over slices is
-    reported: one stall then moves one slice, not the run."""
+    """Percentile ``q`` of all the phase's request latencies, in ms."""
     import drive
 
-    lat = phase.latencies
-    n = max(1, len(lat) // LATENCY_SLICE) if q > 50 else 1
-    return statistics.median(
-        drive.pct(lat[k * len(lat) // n:(k + 1) * len(lat) // n], q, 1e3)
-        for k in range(n))
+    return drive.pct(phase.latencies, q, 1e3)
 
 
 def _schedule_build_ms(ordering: str, d: int, reps: int = 5) -> float:

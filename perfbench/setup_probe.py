@@ -1,5 +1,6 @@
 """Set-up probe: one fresh process, timed from before ``import repro`` to
-its first verified result.
+its first verified result (ensemble: one batch; stream and saturate: two
+full batches at once, every result verified and both pool workers up).
 
 Run as ``python3 perfbench/setup_probe.py <workload> <seed>``; prints one
 JSON line ``{"setup_s": ..., "ok": ...}``.  ``run.py`` starts several of
@@ -37,14 +38,24 @@ def main() -> int:
     else:
         from repro.service import AsyncGateway
 
-        m = wl.WORKLOADS[name].shapes[0][2]
-        A = wl.symmetric(wl.client_rng(seed, 0, stream=3), m)
+        import drive
+
+        # Two full batches at once: two flushes in flight, so the pool
+        # spawns both of its workers before the clock stops.
+        spec = wl.WORKLOADS[name]
+        rng = wl.client_rng(seed, 0, stream=3)
+        requests = []
+        for k in range(2 * spec.service["max_batch"]):
+            kind, n, m = spec.shapes[k % len(spec.shapes)]
+            requests.append((kind, wl.symmetric(rng, m) if kind == "eigen"
+                             else wl.general(rng, n, m)))
         service = wl.build_service(name)
         try:
-            res = asyncio.run(AsyncGateway(service).submit(A))
-            ok = bool(res.converged) and checks.eigen_ok(
-                A, res.eigenvalues, res.eigenvectors)
+            phase = drive.Phase()
+            asyncio.run(drive.burst(AsyncGateway(service), requests, phase))
             setup_s = time.monotonic() - T0
+            ok = (not phase.failures
+                  and len(procstat.pool_workers()) == service.workers)
         finally:
             service.close()
     procstat.reap()

@@ -4,13 +4,13 @@ metric moves between runs.
 Usage (from the repository root)::
 
     python3 perfbench/steady.py [--workload NAME ...] [--runs 10] \\
-        [--first-seed 1] [--seconds S] [--trace 0|1] [--out FILE]
+        [--seconds S] [--out FILE]
 
-Each run is one ``run.py`` process with the next seed.  For every metric
-it prints the median, the quartiles (``statistics.quantiles(n=4)``), the
-spread ``(q3 - q1) / median`` and, for end-to-end metrics, the bound from
-``BENCHMARK.json`` and whether the spread is under a third of it — the
-margin the bounds were set with.
+Run ``k`` is one ``run.py --trace 0`` process with seed ``k`` (seeds 1 to
+``--runs``).  For every end-to-end metric it prints the median, the
+quartiles (``statistics.quantiles(n=4)``), the spread
+``(q3 - q1) / median``, the bound from ``BENCHMARK.json`` and whether
+the spread is under a third of it — the margin the bounds were set with.
 """
 
 import argparse
@@ -24,11 +24,11 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
 
-def run_once(workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, os.path.join(HERE, "run.py"), "--workload",
          workload, "--seed", str(seed), "--seconds", str(seconds),
-         "--trace", str(trace)], cwd=ROOT, capture_output=True, text=True,
+         "--trace", "0"], cwd=ROOT, capture_output=True, text=True,
         timeout=900)
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout + proc.stderr)
@@ -50,10 +50,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", nargs="+", choices=names,
                         default=names)
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--seconds", type=float,
                         default=contract["run_seconds"])
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", help="also write every run's result "
                         "as JSON to this file")
     args = parser.parse_args(argv)
@@ -62,9 +60,8 @@ def main(argv=None) -> int:
     results = {}
     for workload in args.workload:
         runs = []
-        for k in range(args.runs):
-            seed = args.first_seed + k
-            runs.append(run_once(workload, seed, args.seconds, args.trace))
+        for seed in range(1, args.runs + 1):
+            runs.append(run_once(workload, seed, args.seconds))
             print(f"{workload} seed {seed}: correct={runs[-1]['correct']} "
                   f"failed={runs[-1]['failed']}", flush=True)
         results[workload] = runs
@@ -73,10 +70,9 @@ def main(argv=None) -> int:
               f"{'spread':>8} {'bound':>6}")
         for metric in runs[0]["metrics"]:
             s = summarise([r["metrics"][metric]["value"] for r in runs])
-            bound = bounds.get(metric)
-            verdict = ("" if bound is None else
-                       f" {bound:>6.2f} " + ("ok" if s["spread"] < bound / 3
-                                             else "WIDE"))
+            bound = bounds[metric]
+            verdict = f" {bound:>6.2f} " + ("ok" if s["spread"] < bound / 3
+                                            else "WIDE")
             print(f"{metric:<34} {s['median']:>12.4f} {s['q1']:>12.4f} "
                   f"{s['q3']:>12.4f} {s['spread']:>8.3f}{verdict}")
         print(flush=True)
