@@ -2,9 +2,9 @@
 
 Replays the seeded open-loop ``overload`` scenario of
 :mod:`repro.analysis.loadgen` — bursts of heavy matrices arriving well
-above one-core solve capacity — against the :data:`OVERLOAD_SETTINGS`
-grid plus an uncontended stretched twin of the same bursts, asserting
-the admission layer's whole value proposition:
+above one-core solve capacity — against its :data:`OVERLOAD_SETTINGS`
+grid, whose first row is an uncontended stretched twin of the same
+bursts, asserting the admission layer's whole value proposition:
 
 * **unbounded** — the baseline accepts everything, so its backlog grows
   monotonically for the length of the trace and its steady-state p99

@@ -34,6 +34,7 @@ from repro.analysis.loadgen import (
     replay,
     replay_traced,
     SCENARIOS,
+    Setting,
 )
 from repro.service import NULL_TRACER
 
@@ -41,8 +42,8 @@ TP_FACTOR = float(os.environ.get("REPRO_BENCH_TRACING_TP_FACTOR",
                                  "0.95"))
 
 #: Replay configuration: the throughput-tuned fixed setting on bursty.
-KW = dict(scenario="bursty", label="bench", max_batch=16,
-          max_delay=0.05)
+SETTING = Setting("bench", max_batch=16, max_delay=0.05)
+KW = dict(scenario="bursty")
 
 
 def _bursty_load():
@@ -55,11 +56,12 @@ def test_disabled_tracing_costs_nothing(capsys):
     """Untraced vs tracing-disabled throughput on bursty: interleaved
     paired runs, best-of-3 each, compared against the pinned floor."""
     arrivals, matrices = _bursty_load()
-    replay(arrivals, matrices, **KW)  # warm-up: caches, pool, pages
+    replay(arrivals, matrices, SETTING, **KW)  # warm-up: caches, pool, pages
     untraced, disabled = [], []
     for _ in range(3):
-        untraced.append(replay(arrivals, matrices, **KW).throughput)
-        disabled.append(replay(arrivals, matrices,
+        untraced.append(replay(arrivals, matrices, SETTING,
+                               **KW).throughput)
+        disabled.append(replay(arrivals, matrices, SETTING,
                                tracer=NULL_TRACER, **KW).throughput)
     best_untraced, best_disabled = max(untraced), max(disabled)
     ratio = (best_disabled / best_untraced
@@ -77,7 +79,7 @@ def test_enabled_tracing_captures_complete_lifecycles():
     """Every request of a traced bursty replay reaches exactly one
     terminal stage through an ordered, timestamp-monotone lifecycle."""
     arrivals, matrices = _bursty_load()
-    result, timeline = replay_traced(arrivals, matrices, **KW)
+    result, timeline = replay_traced(arrivals, matrices, SETTING, **KW)
     problems = validate_lifecycles(timeline)
     assert problems == {}, f"incomplete lifecycles: {problems}"
     requests = timeline.by_request()

@@ -22,9 +22,10 @@ Run::
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 
 from repro.analysis.loadgen import (
-    ADAPTIVE_START,
+    ADAPTIVE,
     SCENARIOS,
     build_matrices,
     build_trace,
@@ -50,14 +51,11 @@ def main() -> None:
     print(f"replaying {len(arrivals)} arrivals over "
           f"{arrivals[-1].at:.2f}s, twice (fixed, then adaptive)\n")
 
-    fixed = replay(arrivals, matrices, scenario=scenario.name,
-                   label="fixed (same start)",
-                   max_batch=ADAPTIVE_START.max_batch,
-                   max_delay=ADAPTIVE_START.max_delay)
-    adaptive = replay(arrivals, matrices, scenario=scenario.name,
-                      label=ADAPTIVE_START.label,
-                      max_batch=ADAPTIVE_START.max_batch,
-                      max_delay=ADAPTIVE_START.max_delay, adaptive=True)
+    fixed = replay(arrivals, matrices,
+                   replace(ADAPTIVE, label="fixed (same start)",
+                           adaptive=False),
+                   scenario=scenario.name)
+    adaptive = replay(arrivals, matrices, ADAPTIVE, scenario=scenario.name)
     print(render_load_bench([fixed, adaptive]))
 
     print(f"\nadaptive tuning trace ({adaptive.retunes} retunes):")

@@ -1,4 +1,4 @@
-"""Load-generator harness: fixed vs adaptive batching under live load.
+"""Load-generator harness: batching, admission and QoS under live load.
 
 The service benchmarks elsewhere in the repo measure *closed* loops —
 hand the engine an ensemble, time the run.  This module measures the
@@ -28,36 +28,41 @@ knobs in opposite directions:
   through the :class:`~repro.service.gateway.AsyncGateway`, exercising
   per-tenant quotas and priorities rather than the batching knobs.
 
-:func:`compute_load_bench` replays every scenario against each fixed
-setting and against the adaptive controller (same seeded matrices, same
-trace), reporting post-warm-up p50/p99 latency and overall throughput —
-this is what ``repro-jacobi load-bench`` renders and what CI uploads as
-an artifact.  Percentiles exclude a leading warm-up fraction of the
-trace (default 20%): the adaptive service *starts* at its fixed
-configuration and needs a few tuning windows to converge, and steady
-state is what the latency comparison is about.  Throughput is measured
-over the whole run, warm-up included.
+Every :class:`Scenario` declares its own settings grid as data: a tuple
+of :class:`Setting` rows, each holding the service's batching and
+admission knobs, optional gateway tenant overrides, and optionally a
+way to pick the row's trace out of the scenario's.  The four batching
+scenarios share :data:`BATCHING_SETTINGS` (a throughput-tuned and a
+latency-tuned fixed baseline plus the :data:`ADAPTIVE` controller);
+``overload`` runs :data:`OVERLOAD_SETTINGS` (an uncontended stretched
+replay of the same bursts, the unbounded baseline, and bounded
+``"reject"`` / ``"shed"`` admission); ``tenants`` runs
+:data:`TENANTS_SETTINGS` through the gateway (the small tenants alone,
+the flood ungated, and the flood under :data:`TENANTS_QOS`).
 
-The ``overload`` scenario runs a different settings grid
-(:data:`OVERLOAD_SETTINGS`): an uncontended stretched replay of the
-same bursts, the unbounded baseline, and two bounded admission
-configurations (``max_queue`` with the ``"reject"`` / ``"shed"``
-policies of :mod:`repro.service.admission`).  Its rows additionally
-report how many items were solved / rejected / shed and the sampled
-backlog trace — the unbounded baseline's backlog grows without bound
-while the bounded services' latency stays flat, which is the whole
-argument for admission control.  Latency percentiles always cover
-*solved* items only; rejected and shed items resolve in microseconds
-and would make an overloaded service look absurdly fast.
+:func:`compute_load_bench` replays every scenario against every row of
+its grid (same seeded matrices, same trace) through one open-loop
+asyncio driver, and reports post-warm-up p50/p99 latency, overall
+throughput, per-item outcomes and the sampled backlog trace — this is
+what ``repro-jacobi load-bench`` renders and what CI uploads as an
+artifact.  Percentiles exclude a leading warm-up fraction of the trace
+(default 20%): the adaptive service *starts* at its fixed configuration
+and needs a few tuning windows to converge, and steady state is what
+the latency comparison is about.  Throughput is measured over the whole
+run, warm-up included.  Latency percentiles always cover *solved* items
+only; rejected, throttled and shed items resolve in microseconds and
+would make an overloaded service look absurdly fast.  Under overload the
+unbounded baseline's backlog grows without bound while the bounded
+services' latency stays flat, which is the whole argument for admission
+control.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,14 +81,14 @@ from .report import render_table
 
 __all__ = [
     "Arrival",
+    "Setting",
     "Scenario",
     "SCENARIOS",
-    "FixedSetting",
-    "FIXED_SETTINGS",
-    "ADAPTIVE_START",
+    "BATCHING_SETTINGS",
+    "ADAPTIVE",
     "ADAPTIVE_BOUNDS",
-    "AdmissionSetting",
     "OVERLOAD_SETTINGS",
+    "TENANTS_SETTINGS",
     "TENANTS_NOISY",
     "TENANTS_SMALL",
     "TENANTS_QOS",
@@ -123,8 +128,8 @@ class Arrival:
         the service default) — carried so a trace-driven replay
         reproduces recorded deadlines.
     tenant:
-        Tenant label of a multi-tenant trace (``None`` = untenanted).
-        The ``tenants`` scenario routes tenanted arrivals through an
+        Tenant label of a multi-tenant trace (``None`` = untenanted),
+        handed to the service or, on gateway rows, to the
         :class:`~repro.service.gateway.AsyncGateway`.
     """
 
@@ -136,9 +141,57 @@ class Arrival:
     tenant: Optional[str] = None
 
 
+#: A replay's load: each arrival with its pre-generated matrix.
+Load = List[Tuple[Arrival, np.ndarray]]
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One row of a scenario's settings grid.
+
+    Attributes
+    ----------
+    label:
+        Report label.
+    max_batch, max_delay:
+        The service's batching limits (the adaptive run's start).
+    adaptive:
+        Let the service tune its own limits within
+        :data:`ADAPTIVE_BOUNDS` during the replay.
+    max_queue, admission, default_deadline:
+        The service's admission bound (0 = unbounded), its overload
+        policy at capacity, and its per-request deadline in seconds
+        (``None`` = no expiry); see :mod:`repro.service.admission`.
+        Rejected submissions are counted, not raised: an open-loop
+        generator keeps firing the trace regardless.
+    gateway:
+        Per-tenant :class:`~repro.service.tenancy.GatewayConfig`
+        overrides, ``{tenant: {knob: value}}`` like
+        :data:`TENANTS_QOS`.  A dict — an empty one included — routes
+        every arrival through an
+        :class:`~repro.service.gateway.AsyncGateway`; ``None`` submits
+        straight to the service.
+    pick:
+        Picks the ``(arrival, matrix)`` pairs this row replays out of
+        the scenario's load (``None`` = all of it).  Trace records
+        leave it out: a record's timeline already holds the picked
+        arrivals.
+    """
+
+    label: str
+    max_batch: int
+    max_delay: float
+    adaptive: bool = False
+    max_queue: int = 0
+    admission: str = "reject"
+    default_deadline: Optional[float] = None
+    gateway: Optional[Dict[str, Dict[str, Any]]] = None
+    pick: Optional[Callable[[Load], Load]] = None
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """A named, seeded arrival-trace generator.
+    """A named, seeded arrival-trace generator and its settings grid.
 
     Attributes
     ----------
@@ -151,12 +204,16 @@ class Scenario:
     build:
         ``(items, rng) -> list of Arrival`` — must be a pure function
         of its arguments so a seed pins the whole trace.
+    settings:
+        The rows :func:`compute_load_bench` replays the trace against,
+        in report order.
     """
 
     name: str
     description: str
     default_items: int
     build: Callable[[int, np.random.Generator], List[Arrival]]
+    settings: Tuple[Setting, ...]
 
 
 def _trickle(items: int, rng: np.random.Generator) -> List[Arrival]:
@@ -206,6 +263,28 @@ def _mixed(items: int, rng: np.random.Generator) -> List[Arrival]:
     return out
 
 
+#: The adaptive run of the batching grid, starting from a deliberate
+#: middle ground.
+ADAPTIVE = Setting("adaptive b=4 d=20ms", 4, 0.02, adaptive=True)
+
+#: The grid of the four batching scenarios: a throughput-tuned fixed
+#: baseline (large batches, long deadline), a latency-tuned one (small
+#: batches, short deadline) — each the wrong constant for at least one
+#: scenario, that is the point — and the adaptive controller.
+BATCHING_SETTINGS: Tuple[Setting, ...] = (
+    Setting("fixed b=16 d=50ms", 16, 0.05),
+    Setting("fixed b=2 d=2ms", 2, 0.002),
+    ADAPTIVE,
+)
+
+#: The envelope the adaptive run may tune within.
+ADAPTIVE_BOUNDS = TuningBounds(min_batch=1, max_batch=64,
+                               min_delay=0.0005, max_delay=0.05)
+
+#: Tuning window of the adaptive replays (small: the traces are short).
+ADAPTIVE_WINDOW = 5
+
+
 #: Overload trace shape: bursts of this many heavy eigen matrices ...
 OVERLOAD_BURST = 8
 #: ... every this many seconds — well above one-core solve capacity.
@@ -213,6 +292,10 @@ OVERLOAD_PERIOD = 0.012
 #: Stretch factor of the uncontended twin replay (same bursts, period
 #: multiplied by this, so the service fully drains between bursts).
 OVERLOAD_STRETCH = 12.0
+#: Batching limits shared by every overload row — admission, not
+#: batching, is the variable under test.
+OVERLOAD_BATCH = 8
+OVERLOAD_DELAY = 0.01
 
 
 def _overload(items: int, rng: np.random.Generator) -> List[Arrival]:
@@ -221,6 +304,29 @@ def _overload(items: int, rng: np.random.Generator) -> List[Arrival]:
     grows without bound for as long as the trace lasts."""
     return [Arrival(at=(k // OVERLOAD_BURST) * OVERLOAD_PERIOD,
                     kind="eigen", n=32, m=32) for k in range(items)]
+
+
+def _stretched_first_half(load: Load) -> Load:
+    """The first half of the trace at 1/``OVERLOAD_STRETCH`` the rate:
+    the same bursts, fully drained in between — the latency floor every
+    bounded overload row is judged against."""
+    half = max(OVERLOAD_BURST, len(load) // 2)
+    return [(replace(a, at=a.at * OVERLOAD_STRETCH), A)
+            for a, A in load[:half]]
+
+
+#: The overload grid: the uncontended stretched twin, the unbounded
+#: baseline (backlog and latency grow without bound), fail-fast
+#: rejection with a one-batch queue, and deadline-based shedding with a
+#: deeper queue.
+OVERLOAD_SETTINGS: Tuple[Setting, ...] = (
+    Setting("uncontended", OVERLOAD_BATCH, OVERLOAD_DELAY,
+            pick=_stretched_first_half),
+    Setting("unbounded", OVERLOAD_BATCH, OVERLOAD_DELAY),
+    Setting("reject q=8", OVERLOAD_BATCH, OVERLOAD_DELAY, max_queue=8),
+    Setting("shed q=24 dl=60ms", OVERLOAD_BATCH, OVERLOAD_DELAY,
+            max_queue=24, admission="shed", default_deadline=0.06),
+)
 
 
 #: The multi-tenant cast: one flooding neighbour ...
@@ -239,6 +345,11 @@ TENANTS_NOISY_SHARE = 0.75
 TENANTS_QOS: Dict[str, Dict[str, Any]] = {
     TENANTS_NOISY: {"rate": 20.0, "burst": 4, "priority": "bronze"},
 }
+#: Batching limits shared by every tenants row — all three ride one
+#: traffic class (16x16 eigen), so QoS, not batching, is the variable
+#: under test.
+TENANTS_BATCH = 8
+TENANTS_DELAY = 0.01
 
 
 def _tenants(items: int, rng: np.random.Generator) -> List[Arrival]:
@@ -260,104 +371,47 @@ def _tenants(items: int, rng: np.random.Generator) -> List[Arrival]:
     return sorted(out, key=lambda a: a.at)
 
 
+def _without_noisy(load: Load) -> Load:
+    """The small tenants' arrivals alone: their latency floor."""
+    return [(a, A) for a, A in load if a.tenant != TENANTS_NOISY]
+
+
+#: The tenants grid, every row through the gateway: the small tenants
+#: alone, the full trace ungated (the noisy-neighbour baseline), and
+#: the full trace under :data:`TENANTS_QOS` — the isolation the tenants
+#: benchmark pins.
+TENANTS_SETTINGS: Tuple[Setting, ...] = (
+    Setting("small alone", TENANTS_BATCH, TENANTS_DELAY, gateway={},
+            pick=_without_noisy),
+    Setting("no QoS", TENANTS_BATCH, TENANTS_DELAY, gateway={}),
+    Setting("QoS noisy r=20 b=4 bronze", TENANTS_BATCH, TENANTS_DELAY,
+            gateway=TENANTS_QOS),
+)
+
+
 #: The bundled scenarios, in report order.
 SCENARIOS: Tuple[Scenario, ...] = (
     Scenario("trickle",
              "sparse arrivals; fixed max_delay is pure added latency",
-             40, _trickle),
+             40, _trickle, BATCHING_SETTINGS),
     Scenario("bursty",
              "32-wide spikes above small-batch capacity; fixed "
              "max_batch caps throughput",
-             160, _bursty),
+             160, _bursty, BATCHING_SETTINGS),
     Scenario("bimodal",
              "matrix shape flips between regimes; per-key tuning",
-             60, _bimodal),
+             60, _bimodal, BATCHING_SETTINGS),
     Scenario("mixed",
              "interleaved eigen and SVD traffic classes",
-             40, _mixed),
+             40, _mixed, BATCHING_SETTINGS),
     Scenario("overload",
              "sustained arrivals above solve capacity; admission "
              "policies vs the unbounded baseline",
-             96, _overload),
+             96, _overload, OVERLOAD_SETTINGS),
     Scenario("tenants",
              "one noisy neighbour floods many small tenants; gateway "
              "QoS vs the ungated baseline",
-             96, _tenants),
-)
-
-
-@dataclass(frozen=True)
-class FixedSetting:
-    """One fixed ``(max_batch, max_delay)`` baseline.
-
-    Attributes
-    ----------
-    label:
-        Report label.
-    max_batch, max_delay:
-        The batcher limits, held constant for the whole replay.
-    """
-
-    label: str
-    max_batch: int
-    max_delay: float
-
-
-#: Fixed baselines every scenario is replayed against: a
-#: throughput-tuned setting (large batches, long deadline) and a
-#: latency-tuned one (small batches, short deadline).  Each is the
-#: wrong constant for at least one scenario — that is the point.
-FIXED_SETTINGS: Tuple[FixedSetting, ...] = (
-    FixedSetting("fixed b=16 d=50ms", 16, 0.05),
-    FixedSetting("fixed b=2 d=2ms", 2, 0.002),
-)
-
-#: Where the adaptive run starts (a deliberate middle ground).
-ADAPTIVE_START = FixedSetting("adaptive b=4 d=20ms", 4, 0.02)
-
-#: The envelope the adaptive run may tune within.
-ADAPTIVE_BOUNDS = TuningBounds(min_batch=1, max_batch=64,
-                               min_delay=0.0005, max_delay=0.05)
-
-#: Tuning window of the adaptive replays (small: the traces are short).
-ADAPTIVE_WINDOW = 5
-
-
-@dataclass(frozen=True)
-class AdmissionSetting:
-    """One admission configuration of the ``overload`` scenario grid.
-
-    Attributes
-    ----------
-    label:
-        Report label.
-    max_queue:
-        The service's queue bound (0 = unbounded).
-    admission:
-        Overload policy (see :mod:`repro.service.admission`).
-    default_deadline:
-        Per-request deadline in seconds for the ``"shed"`` policy
-        (``None`` for the others).
-    """
-
-    label: str
-    max_queue: int
-    admission: str
-    default_deadline: Optional[float] = None
-
-
-#: Batching limits shared by every overload replay — admission, not
-#: batching, is the variable under test.
-OVERLOAD_BATCH = 8
-OVERLOAD_DELAY = 0.01
-
-#: The overload scenario's settings grid: the unbounded baseline
-#: (backlog and latency grow without bound), fail-fast rejection with a
-#: one-batch queue, and deadline-based shedding with a deeper queue.
-OVERLOAD_SETTINGS: Tuple[AdmissionSetting, ...] = (
-    AdmissionSetting("unbounded", 0, "reject"),
-    AdmissionSetting("reject q=8", 8, "reject"),
-    AdmissionSetting("shed q=24 dl=60ms", 24, "shed", 0.06),
+             96, _tenants, TENANTS_SETTINGS),
 )
 
 
@@ -368,7 +422,7 @@ class LoadResult:
     Attributes
     ----------
     scenario, label:
-        Which trace, which batching setting.
+        Which trace, which :class:`Setting` row.
     items:
         Submissions replayed.
     measured:
@@ -392,9 +446,10 @@ class LoadResult:
         The applied tuning trace as plain dicts (``t`` is seconds into
         the replay), JSON-ready; empty for fixed settings.
     solved, rejected, shed:
-        Per-item outcomes: futures resolving to a result / submissions
-        refused with :class:`~repro.errors.QueueFull` / futures
-        resolving to :class:`~repro.errors.ShedError`.  On an
+        Per-item outcomes: submissions resolving to a result /
+        refused with :class:`~repro.errors.QueueFull` or, on gateway
+        rows, :class:`~repro.errors.QuotaExceeded` / resolving to
+        :class:`~repro.errors.ShedError`.  On an
         unbounded service ``solved == items``.  Latency percentiles
         cover solved items only.
     peak_backlog:
@@ -411,10 +466,10 @@ class LoadResult:
         ``"throttled"`` on gateway rows) — what the record->replay
         determinism tests compare.
     tenants:
-        Per-tenant accounting of a ``tenants``-scenario row: gateway
-        ledger counters plus the tenant's solved-only post-warm-up
-        latency sample (``latencies_ms`` with its ``p50_ms`` /
-        ``p99_ms``).  Empty for untenanted rows.
+        Per-tenant accounting of a gateway row: gateway ledger
+        counters plus the tenant's solved-only post-warm-up latency
+        sample (``latencies_ms`` with its ``p50_ms`` / ``p99_ms``).
+        Empty for rows submitting straight to the service.
     """
 
     scenario: str
@@ -494,45 +549,22 @@ def build_matrices(arrivals: Sequence[Arrival],
 
 
 def replay(arrivals: Sequence[Arrival], matrices: Sequence[np.ndarray],
-           *, scenario: str, label: str, max_batch: int, max_delay: float,
-           adaptive: bool = False,
-           tuning_bounds: Optional[TuningBounds] = None,
-           tuning_window: int = ADAPTIVE_WINDOW,
-           max_queue: int = 0, admission: str = "reject",
-           default_deadline: Optional[float] = None,
-           warmup_frac: float = 0.2, d: int = 2,
-           tol: float = DEFAULT_TOL, timeout: float = 120.0,
+           setting: Setting, *, scenario: str, warmup_frac: float = 0.2,
+           d: int = 2, tol: float = DEFAULT_TOL, timeout: float = 120.0,
            transport: Optional[str] = None,
            tracer: Optional[Any] = None) -> LoadResult:
-    """Open-loop replay of one trace against one service configuration.
+    """Open-loop replay of one trace against one setting.
 
     Parameters
     ----------
     arrivals, matrices:
         The trace and its pre-generated matrices (same length).
-    scenario, label:
-        Report tags carried into the :class:`LoadResult`.
-    max_batch, max_delay:
-        The service's (initial) batching limits.
-    adaptive:
-        Let the service tune its own limits during the replay.
-    tuning_bounds:
-        Envelope for the adaptive controller (defaults to
-        :data:`ADAPTIVE_BOUNDS` when ``adaptive``).
-    tuning_window:
-        Hysteresis window of the adaptive controller.
-    max_queue:
-        The service's admission bound (0 = unbounded, the default —
-        exactly the pre-admission replay).
-    admission:
-        The service's overload policy at capacity (see
-        :mod:`repro.service.admission`).  Rejected submissions are
-        counted, not raised: an open-loop generator keeps firing the
-        trace regardless.
-    default_deadline:
-        Per-request deadline in seconds handed to the service
-        (``"shed"`` policy); ``None`` disables expiry.  An arrival's
-        own ``deadline`` field wins over this.
+        ``setting.pick`` is not applied: the trace is replayed as given.
+    setting:
+        The service configuration, and whether arrivals go through a
+        gateway (see :class:`Setting`).  Its label tags the result.
+    scenario:
+        Report tag carried into the :class:`LoadResult`.
     warmup_frac:
         Leading fraction of the trace excluded from the latency
         percentiles (steady-state measurement; throughput still covers
@@ -542,7 +574,8 @@ def replay(arrivals: Sequence[Arrival], matrices: Sequence[np.ndarray],
     tol:
         Convergence tolerance.
     timeout:
-        Seconds to wait for the replay's futures before giving up.
+        Seconds to wait, after the last submission, for every
+        submission to resolve before giving up.
     transport:
         Batch data plane handed to the service — ``None``/``"pickle"``
         for the pickle pipe, ``"shm"`` for the zero-copy
@@ -558,154 +591,139 @@ def replay(arrivals: Sequence[Arrival], matrices: Sequence[np.ndarray],
     -------
     LoadResult
         Post-warm-up p50/p99 latency over *solved* items, overall
-        throughput, flush counters, per-item outcome counts, the
-        sampled backlog trace and the tuning outcome.
+        throughput, flush counters, per-item outcomes, the sampled
+        backlog trace, the tuning outcome and, on gateway rows, the
+        per-tenant accounting.
     """
-    result, _ = _replay(
-        arrivals, matrices, scenario=scenario, label=label,
-        max_batch=max_batch, max_delay=max_delay, adaptive=adaptive,
-        tuning_bounds=tuning_bounds, tuning_window=tuning_window,
-        max_queue=max_queue, admission=admission,
-        default_deadline=default_deadline, warmup_frac=warmup_frac,
-        d=d, tol=tol, timeout=timeout, transport=transport,
-        trace=False, tracer=tracer)
+    result, _ = _replay(arrivals, matrices, setting, scenario=scenario,
+                        warmup_frac=warmup_frac, d=d, tol=tol,
+                        timeout=timeout, transport=transport,
+                        tracer=tracer)
     return result
 
 
 def replay_traced(arrivals: Sequence[Arrival],
-                  matrices: Sequence[np.ndarray], *, scenario: str,
-                  label: str, max_batch: int, max_delay: float,
-                  adaptive: bool = False,
-                  tuning_bounds: Optional[TuningBounds] = None,
-                  tuning_window: int = ADAPTIVE_WINDOW,
-                  max_queue: int = 0, admission: str = "reject",
-                  default_deadline: Optional[float] = None,
-                  warmup_frac: float = 0.2, d: int = 2,
-                  tol: float = DEFAULT_TOL, timeout: float = 120.0,
-                  transport: Optional[str] = None
+                  matrices: Sequence[np.ndarray], setting: Setting, *,
+                  scenario: str, **kwargs: Any
                   ) -> Tuple[LoadResult, EventTimeline]:
     """:func:`replay` with per-request tracing on.
 
-    Same parameters as :func:`replay`; additionally returns the
-    service's exported :class:`~repro.analysis.events.EventTimeline`
-    (captured after the drain, so every lifecycle is complete).
+    Same parameters as :func:`replay` (``tracer`` aside); additionally
+    returns the service's exported
+    :class:`~repro.analysis.events.EventTimeline` (captured after the
+    drain, so every lifecycle is complete).
     """
-    result, timeline = _replay(
-        arrivals, matrices, scenario=scenario, label=label,
-        max_batch=max_batch, max_delay=max_delay, adaptive=adaptive,
-        tuning_bounds=tuning_bounds, tuning_window=tuning_window,
-        max_queue=max_queue, admission=admission,
-        default_deadline=default_deadline, warmup_frac=warmup_frac,
-        d=d, tol=tol, timeout=timeout, transport=transport, trace=True)
+    result, timeline = _replay(arrivals, matrices, setting,
+                               scenario=scenario, trace=True, **kwargs)
     assert timeline is not None
     return result, timeline
 
 
 def _replay(arrivals: Sequence[Arrival], matrices: Sequence[np.ndarray],
-            *, scenario: str, label: str, max_batch: int,
-            max_delay: float, adaptive: bool = False,
-            tuning_bounds: Optional[TuningBounds] = None,
-            tuning_window: int = ADAPTIVE_WINDOW,
-            max_queue: int = 0, admission: str = "reject",
-            default_deadline: Optional[float] = None,
-            warmup_frac: float = 0.2, d: int = 2,
-            tol: float = DEFAULT_TOL, timeout: float = 120.0,
-            transport: Optional[str] = None,
-            trace: bool = False, tracer: Optional[Any] = None
+            setting: Setting, *, scenario: str, warmup_frac: float = 0.2,
+            d: int = 2, tol: float = DEFAULT_TOL, timeout: float = 120.0,
+            transport: Optional[str] = None, trace: bool = False,
+            tracer: Optional[Any] = None
             ) -> Tuple[LoadResult, Optional[EventTimeline]]:
+    """The one open-loop driver: an asyncio task per arrival, started at
+    its scheduled instant, submitting through the gateway or straight
+    to the service."""
     if len(arrivals) != len(matrices):
         raise SimulationError(
             f"trace and matrices disagree: {len(arrivals)} arrivals, "
             f"{len(matrices)} matrices")
     n = len(arrivals)
     done_at: List[Optional[float]] = [None] * n
-    futures: List[Optional[Any]] = [None] * n
-    # Completion is tracked through the callbacks, not wait(futures):
-    # a future notifies waiters *before* running its callbacks, so
-    # waiting on the futures could observe done_at entries still None.
-    remaining = [n]
-    remaining_lock = threading.Lock()
-    all_marked = threading.Event()
-
-    def _done(i: Optional[int] = None) -> None:
-        if i is not None:
-            done_at[i] = time.monotonic()
-        with remaining_lock:
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                all_marked.set()
-
-    def _mark(i: int) -> Callable[[Any], None]:
-        return lambda _fut: _done(i)
-
-    bounds = (tuning_bounds if tuning_bounds is not None
-              else ADAPTIVE_BOUNDS) if adaptive else None
+    outcomes: List[str] = ["failed"] * n
     backlog: List[int] = []
-    rejected = 0
-    with JacobiService(d=d, tol=tol, max_batch=max_batch,
-                       max_delay=max_delay, adaptive=adaptive,
-                       tuning_bounds=bounds,
-                       tuning_window=tuning_window,
-                       max_queue=max_queue, admission=admission,
-                       default_deadline=default_deadline,
+    with JacobiService(d=d, tol=tol, max_batch=setting.max_batch,
+                       max_delay=setting.max_delay,
+                       adaptive=setting.adaptive,
+                       tuning_bounds=(ADAPTIVE_BOUNDS if setting.adaptive
+                                      else None),
+                       tuning_window=ADAPTIVE_WINDOW,
+                       max_queue=setting.max_queue,
+                       admission=setting.admission,
+                       default_deadline=setting.default_deadline,
                        transport=transport,
                        trace=trace, tracer=tracer) as svc:
-        t0 = time.monotonic()
-        for i, (a, A) in enumerate(zip(arrivals, matrices)):
-            lag = t0 + a.at - time.monotonic()
-            if lag > 0:
-                time.sleep(lag)
+        gateway = (None if setting.gateway is None else
+                   AsyncGateway(svc, GatewayConfig(tenants=setting.gateway)))
+
+        async def _one(i: int, a: Arrival, A: np.ndarray) -> None:
+            # Sample here, not where the task is created: a burst's
+            # tasks are all created before the first of them runs, so
+            # only this point sees the backlog its submit meets.
             st = svc.stats()
             backlog.append(st.queue_depth + st.inflight)
             try:
-                fut = (svc.submit(A, deadline=a.deadline)
-                       if a.kind == "eigen"
-                       else svc.submit(A, kind="svd",
-                                       deadline=a.deadline))
+                if gateway is not None:
+                    await gateway.submit(A, kind=a.kind,
+                                         tenant=a.tenant or "default",
+                                         deadline=a.deadline)
+                else:
+                    await asyncio.wrap_future(svc.submit(
+                        A, kind=a.kind, deadline=a.deadline,
+                        tenant=a.tenant))
+                outcomes[i] = "solved"
+            except QuotaExceeded:
+                outcomes[i] = "throttled"
             except QueueFull:
-                rejected += 1
-                _done()  # no future: the submission never existed
-                continue
-            futures[i] = fut
-            fut.add_done_callback(_mark(i))
-        if not all_marked.wait(timeout):
-            raise SimulationError(
-                f"{remaining[0]} of {n} futures unresolved after "
-                f"{timeout:.0f}s")
+                outcomes[i] = "rejected"
+            except ShedError:
+                outcomes[i] = "shed"
+            except Exception:
+                outcomes[i] = "failed"
+            done_at[i] = time.monotonic()
+
+        async def _drive() -> float:
+            t0 = time.monotonic()
+            tasks = []
+            for i, (a, A) in enumerate(zip(arrivals, matrices)):
+                lag = t0 + a.at - time.monotonic()
+                if lag > 0:
+                    await asyncio.sleep(lag)
+                tasks.append(asyncio.ensure_future(_one(i, a, A)))
+            try:
+                await asyncio.wait_for(asyncio.gather(*tasks), timeout)
+            except asyncio.TimeoutError:
+                raise SimulationError(
+                    f"{done_at.count(None)} of {n} submissions "
+                    f"unresolved after {timeout:.0f}s") from None
+            return t0
+
+        t0 = asyncio.run(_drive())
         stats = svc.stats()
+        gw_stats = gateway.stats() if gateway is not None else None
     # The timeline is read after close(): the dispatcher has drained,
     # so every admitted request's lifecycle has reached its terminal
-    # event (a future resolves *before* its terminal event is emitted,
-    # so reading at all_marked could still miss trailing events).
+    # event (a future resolves *before* its terminal event is emitted).
     timeline = svc.trace() if trace else None
 
-    def _outcome(f: Optional[Any]) -> str:
-        if f is None:
-            return "rejected"
-        exc = f.exception()
-        if exc is None:
-            return "solved"
-        return "shed" if isinstance(exc, ShedError) else "failed"
-
-    outcomes = [_outcome(f) for f in futures]
-    solved_idx = [i for i, o in enumerate(outcomes) if o == "solved"]
-    shed = outcomes.count("shed")
     skip = int(np.ceil(warmup_frac * n)) if n > 1 else 0
-    sample = np.array([done_at[i] - (t0 + arrivals[i].at)
-                       for i in solved_idx if i >= skip])
-    if not sample.size:  # all solved items fell in the warm-up window
-        sample = np.array([done_at[i] - (t0 + arrivals[i].at)
-                           for i in solved_idx])
+    solved = [i for i, o in enumerate(outcomes) if o == "solved"]
+    # all solved items falling in the warm-up window: measure them all
+    measured = [i for i in solved if i >= skip] or solved
+    latency_ms = {i: (done_at[i] - (t0 + arrivals[i].at)) * 1e3
+                  for i in measured}
+    tenants: Dict[str, Dict[str, Any]] = {}
+    for tenant, ts in (gw_stats.tenants.items() if gw_stats else ()):
+        sample = [latency_ms[i] for i in measured
+                  if (arrivals[i].tenant or "default") == tenant]
+        tenants[tenant] = {
+            "submitted": ts.submitted, "throttled": ts.throttled,
+            "rejected": ts.rejected, "shed": ts.shed,
+            "completed": ts.completed, "failed": ts.failed,
+            "cancelled": ts.cancelled, "measured": len(sample),
+            "latencies_ms": [round(v, 3) for v in sample],
+            **_percentiles(sample)}
     resolved = [t for t in done_at if t is not None]
     makespan = (max(resolved) - t0 - arrivals[0].at) if resolved else 0.0
     step = max(1, -(-len(backlog) // 64))  # downsample to <= 64 points
     return LoadResult(
-        scenario=scenario, label=label, items=n, measured=int(sample.size),
-        p50_ms=(float(np.percentile(sample, 50) * 1e3)
-                if sample.size else 0.0),
-        p99_ms=(float(np.percentile(sample, 99) * 1e3)
-                if sample.size else 0.0),
-        throughput=(len(solved_idx) / makespan if makespan > 0 else 0.0),
+        scenario=scenario, label=setting.label, items=n,
+        measured=len(measured), **_percentiles(list(latency_ms.values())),
+        throughput=(len(solved) / makespan if makespan > 0 else 0.0),
         flushes=dict(stats.flushes),
         mean_batch_size=stats.mean_batch_size,
         retunes=len(stats.tuning),
@@ -715,37 +733,26 @@ def _replay(arrivals: Sequence[Arrival], matrices: Sequence[np.ndarray],
                  "delay": [ev.delay_from, ev.delay_to],
                  "reason": ev.reason}
                 for ev in stats.tuning],
-        solved=len(solved_idx), rejected=rejected, shed=shed,
-        peak_backlog=max(backlog) if backlog else 0,
-        backlog=backlog[::step], outcomes=outcomes), timeline
+        solved=len(solved),
+        rejected=outcomes.count("rejected") + outcomes.count("throttled"),
+        shed=outcomes.count("shed"),
+        peak_backlog=max(backlog, default=0), backlog=backlog[::step],
+        outcomes=outcomes, tenants=tenants), timeline
 
 
-#: The replay keyword arguments a trace record's ``settings`` dict may
-#: carry — everything needed to re-run the replay from its own record
-#: (:func:`replay_recorded`); keys left unset fall back to the
-#: :func:`replay` defaults, which are the same both times.
-_SETTING_KEYS = ("max_batch", "max_delay", "adaptive", "tuning_window",
-                 "max_queue", "admission", "default_deadline",
-                 "warmup_frac", "d", "tol", "transport")
+def _percentiles(sample_ms: Sequence[float]) -> Dict[str, float]:
+    """``p50_ms`` / ``p99_ms`` of a latency sample (0 when empty)."""
+    if not len(sample_ms):
+        return {"p50_ms": 0.0, "p99_ms": 0.0}
+    return {"p50_ms": float(np.percentile(sample_ms, 50)),
+            "p99_ms": float(np.percentile(sample_ms, 99))}
 
 
-def _run_setting(arrivals: Sequence[Arrival],
-                 matrices: Sequence[np.ndarray], *, scenario: str,
-                 label: str,
-                 trace_sink: Optional[List[Dict[str, Any]]] = None,
-                 **kwargs: Any) -> LoadResult:
-    """Run one replay; when a sink is given, run it traced and append
-    its trace record (scenario, label, settings, timeline)."""
-    result, timeline = _replay(arrivals, matrices, scenario=scenario,
-                               label=label,
-                               trace=trace_sink is not None, **kwargs)
-    if trace_sink is not None:
-        trace_sink.append({
-            "scenario": scenario, "label": label,
-            "settings": {k: kwargs[k] for k in _SETTING_KEYS
-                         if k in kwargs},
-            "timeline": timeline})
-    return result
+def _setting_dict(setting: Setting) -> Dict[str, Any]:
+    """A setting's replayable fields, JSON-ready (``pick`` left out)."""
+    out = asdict(setting)
+    del out["pick"]
+    return out
 
 
 def compute_load_bench(scenario_names: Optional[Sequence[str]] = None,
@@ -755,7 +762,7 @@ def compute_load_bench(scenario_names: Optional[Sequence[str]] = None,
                        trace_sink: Optional[List[Dict[str, Any]]] = None,
                        transport: Optional[str] = None,
                        ) -> List[LoadResult]:
-    """Replay the scenario grid against every setting.
+    """Replay every chosen scenario against every row of its grid.
 
     Parameters
     ----------
@@ -785,11 +792,9 @@ def compute_load_bench(scenario_names: Optional[Sequence[str]] = None,
     Returns
     -------
     list of LoadResult
-        Scenario-major, settings in :data:`FIXED_SETTINGS` order with
-        the adaptive run last — what
-        :func:`render_load_bench` tabulates.  The ``overload``
-        scenario instead contributes an uncontended stretched replay
-        followed by the :data:`OVERLOAD_SETTINGS` grid.
+        Scenario-major, each scenario's rows in its
+        :attr:`Scenario.settings` order — what
+        :func:`render_load_bench` tabulates.
     """
     by_name = {s.name: s for s in SCENARIOS}
     if scenario_names is None:
@@ -804,208 +809,22 @@ def compute_load_bench(scenario_names: Optional[Sequence[str]] = None,
     results: List[LoadResult] = []
     for scenario in chosen:
         arrivals = build_trace(scenario, items=items, seed=seed)
-        matrices = build_matrices(arrivals, seed=seed)
-        if scenario.name == "overload":
-            results.extend(_replay_overload(arrivals, matrices,
-                                            warmup_frac=warmup_frac,
-                                            trace_sink=trace_sink,
-                                            transport=transport))
-            continue
-        if scenario.name == "tenants":
-            results.extend(_replay_tenants(arrivals, matrices,
-                                           warmup_frac=warmup_frac,
-                                           trace_sink=trace_sink,
-                                           transport=transport))
-            continue
-        for setting in FIXED_SETTINGS:
-            results.append(_run_setting(
-                arrivals, matrices, scenario=scenario.name,
-                label=setting.label, trace_sink=trace_sink,
-                max_batch=setting.max_batch,
-                max_delay=setting.max_delay, warmup_frac=warmup_frac,
-                transport=transport))
-        results.append(_run_setting(
-            arrivals, matrices, scenario=scenario.name,
-            label=ADAPTIVE_START.label, trace_sink=trace_sink,
-            max_batch=ADAPTIVE_START.max_batch,
-            max_delay=ADAPTIVE_START.max_delay, adaptive=True,
-            warmup_frac=warmup_frac, transport=transport))
+        load = list(zip(arrivals, build_matrices(arrivals, seed=seed)))
+        for setting in scenario.settings:
+            picked = setting.pick(load) if setting.pick else load
+            result, timeline = _replay(
+                [a for a, _ in picked], [A for _, A in picked], setting,
+                scenario=scenario.name, warmup_frac=warmup_frac,
+                transport=transport, trace=trace_sink is not None)
+            if trace_sink is not None:
+                trace_sink.append({
+                    "scenario": scenario.name, "label": setting.label,
+                    "settings": dict(_setting_dict(setting),
+                                     warmup_frac=warmup_frac,
+                                     transport=transport),
+                    "timeline": timeline})
+            results.append(result)
     return results
-
-
-def _replay_overload(arrivals: Sequence[Arrival],
-                     matrices: Sequence[np.ndarray],
-                     warmup_frac: float,
-                     trace_sink: Optional[List[Dict[str, Any]]] = None,
-                     transport: Optional[str] = None,
-                     ) -> List[LoadResult]:
-    """The overload scenario's settings grid: an uncontended stretched
-    twin (same bursts at 1/``OVERLOAD_STRETCH`` the rate, on half the
-    trace — the latency floor every bounded setting is judged
-    against), then every :data:`OVERLOAD_SETTINGS` admission
-    configuration on the full overload trace."""
-    half = max(OVERLOAD_BURST, len(arrivals) // 2)
-    stretched = [Arrival(at=a.at * OVERLOAD_STRETCH, kind=a.kind,
-                         n=a.n, m=a.m, deadline=a.deadline)
-                 for a in arrivals[:half]]
-    results = [_run_setting(
-        stretched, matrices[:half], scenario="overload",
-        label="uncontended", trace_sink=trace_sink,
-        max_batch=OVERLOAD_BATCH, max_delay=OVERLOAD_DELAY,
-        warmup_frac=warmup_frac, transport=transport)]
-    for setting in OVERLOAD_SETTINGS:
-        results.append(_run_setting(
-            arrivals, matrices, scenario="overload",
-            label=setting.label, trace_sink=trace_sink,
-            max_batch=OVERLOAD_BATCH, max_delay=OVERLOAD_DELAY,
-            max_queue=setting.max_queue, admission=setting.admission,
-            default_deadline=setting.default_deadline,
-            warmup_frac=warmup_frac, transport=transport))
-    return results
-
-
-#: Batching limits shared by every tenants replay — all three rows ride
-#: one traffic class (16x16 eigen), so QoS, not batching, is the
-#: variable under test.
-TENANTS_BATCH = 8
-TENANTS_DELAY = 0.01
-
-
-def _replay_tenants_row(arrivals: Sequence[Arrival],
-                        matrices: Sequence[np.ndarray], *, label: str,
-                        config: Optional[GatewayConfig],
-                        warmup_frac: float,
-                        trace_sink: Optional[List[Dict[str, Any]]],
-                        transport: Optional[str]) -> LoadResult:
-    """Open-loop asyncio replay of one tenanted trace through an
-    :class:`~repro.service.gateway.AsyncGateway` over one service."""
-    n = len(arrivals)
-    done_at: List[Optional[float]] = [None] * n
-    outcomes: List[str] = ["failed"] * n
-    trace = trace_sink is not None
-    with JacobiService(d=2, max_batch=TENANTS_BATCH,
-                       max_delay=TENANTS_DELAY, transport=transport,
-                       trace=trace) as svc:
-        gateway = AsyncGateway(svc, config)
-        start = [0.0]
-
-        async def _one(i: int, a: Arrival, A: np.ndarray) -> None:
-            try:
-                await gateway.submit(A, kind=a.kind,
-                                     tenant=a.tenant or "default",
-                                     deadline=a.deadline)
-                outcomes[i] = "solved"
-            except QuotaExceeded:
-                outcomes[i] = "throttled"
-            except QueueFull:
-                outcomes[i] = "rejected"
-            except ShedError:
-                outcomes[i] = "shed"
-            except Exception:
-                outcomes[i] = "failed"
-            done_at[i] = time.monotonic()
-
-        async def _drive() -> None:
-            start[0] = time.monotonic()
-            tasks = []
-            for i, (a, A) in enumerate(zip(arrivals, matrices)):
-                lag = start[0] + a.at - time.monotonic()
-                if lag > 0:
-                    await asyncio.sleep(lag)
-                tasks.append(asyncio.ensure_future(_one(i, a, A)))
-            await asyncio.gather(*tasks)
-
-        asyncio.run(_drive())
-        gw_stats = gateway.stats()
-        stats = svc.stats()
-    timeline = svc.trace() if trace else None
-    if trace_sink is not None:
-        trace_sink.append({
-            "scenario": "tenants", "label": label,
-            "settings": {"d": 2, "max_batch": TENANTS_BATCH,
-                         "max_delay": TENANTS_DELAY,
-                         "transport": transport},
-            "timeline": timeline})
-
-    t0 = start[0]
-    skip = int(np.ceil(warmup_frac * n)) if n > 1 else 0
-    latency_ms: Dict[str, List[float]] = {}
-    all_sample: List[float] = []
-    for i, a in enumerate(arrivals):
-        if outcomes[i] != "solved" or i < skip:
-            continue
-        ms = (done_at[i] - (t0 + a.at)) * 1e3
-        latency_ms.setdefault(a.tenant or "default", []).append(ms)
-        all_sample.append(ms)
-
-    def _pcts(values: Sequence[float]) -> Dict[str, float]:
-        arr = np.asarray(values)
-        if not arr.size:
-            return {"p50_ms": 0.0, "p99_ms": 0.0}
-        return {"p50_ms": float(np.percentile(arr, 50)),
-                "p99_ms": float(np.percentile(arr, 99))}
-
-    tenants: Dict[str, Dict[str, Any]] = {}
-    for tenant, ts in gw_stats.tenants.items():
-        sample = latency_ms.get(tenant, [])
-        row = {"submitted": ts.submitted, "throttled": ts.throttled,
-               "rejected": ts.rejected, "shed": ts.shed,
-               "completed": ts.completed, "failed": ts.failed,
-               "cancelled": ts.cancelled, "measured": len(sample),
-               "latencies_ms": [round(v, 3) for v in sample]}
-        row.update(_pcts(sample))
-        tenants[tenant] = row
-
-    solved = outcomes.count("solved")
-    resolved = [t for t in done_at if t is not None]
-    makespan = (max(resolved) - t0 - arrivals[0].at) if resolved else 0.0
-    sample_arr = np.asarray(all_sample)
-    return LoadResult(
-        scenario="tenants", label=label, items=n,
-        measured=int(sample_arr.size),
-        p50_ms=(float(np.percentile(sample_arr, 50))
-                if sample_arr.size else 0.0),
-        p99_ms=(float(np.percentile(sample_arr, 99))
-                if sample_arr.size else 0.0),
-        throughput=(solved / makespan if makespan > 0 else 0.0),
-        flushes=dict(stats.flushes),
-        mean_batch_size=stats.mean_batch_size,
-        retunes=len(stats.tuning),
-        solved=solved,
-        rejected=outcomes.count("rejected")
-        + outcomes.count("throttled"),
-        shed=outcomes.count("shed"),
-        outcomes=outcomes, tenants=tenants)
-
-
-def _replay_tenants(arrivals: Sequence[Arrival],
-                    matrices: Sequence[np.ndarray],
-                    warmup_frac: float,
-                    trace_sink: Optional[List[Dict[str, Any]]] = None,
-                    transport: Optional[str] = None,
-                    ) -> List[LoadResult]:
-    """The tenants scenario's grid: the small tenants replayed alone
-    (their latency floor), the full trace through an ungated gateway
-    (the noisy-neighbour baseline), and the full trace with
-    :data:`TENANTS_QOS` applied — quota plus bottom priority on the
-    noisy tenant, which is the isolation the tenants benchmark pins."""
-    small = [(a, A) for a, A in zip(arrivals, matrices)
-             if a.tenant != TENANTS_NOISY]
-    rows = [_replay_tenants_row(
-        [a for a, _ in small], [A for _, A in small],
-        label="small alone", config=None, warmup_frac=warmup_frac,
-        trace_sink=trace_sink, transport=transport)]
-    rows.append(_replay_tenants_row(
-        arrivals, matrices, label="no QoS", config=None,
-        warmup_frac=warmup_frac, trace_sink=trace_sink,
-        transport=transport))
-    rows.append(_replay_tenants_row(
-        arrivals, matrices,
-        label="QoS noisy r=20 b=4 bronze",
-        config=GatewayConfig(tenants=TENANTS_QOS),
-        warmup_frac=warmup_frac, trace_sink=trace_sink,
-        transport=transport))
-    return rows
 
 
 def render_load_bench(rows: Sequence[LoadResult]) -> str:
@@ -1089,15 +908,20 @@ def results_to_json(rows: Sequence[LoadResult], *, seed: int,
     -------
     str
         Pretty-printed JSON (this is what the CI artifact contains).
+        The ``settings`` header maps every scenario to its grid, each
+        row's ``pick`` named by its function (``null`` = whole trace).
     """
     return json.dumps({
         "benchmark": "load-bench",
         "seed": seed,
         "warmup_frac": warmup_frac,
         "transport": transport,
-        "fixed_settings": [asdict(s) for s in FIXED_SETTINGS],
-        "adaptive_start": asdict(ADAPTIVE_START),
-        "overload_settings": [asdict(s) for s in OVERLOAD_SETTINGS],
+        "settings": {
+            scenario.name: [
+                dict(_setting_dict(s),
+                     pick=s.pick.__name__.lstrip("_") if s.pick else None)
+                for s in scenario.settings]
+            for scenario in SCENARIOS},
         "results": [asdict(r) for r in rows],
     }, indent=2)
 
@@ -1210,16 +1034,27 @@ def trace_bundle_to_json(records: Sequence[Dict[str, Any]], *,
     }, indent=2)
 
 
+#: The :class:`Setting` fields a trace record's ``settings`` dict
+#: carries (the label is the record's own; ``pick`` is never recorded).
+_SETTING_FIELDS = tuple(f.name for f in fields(Setting)
+                        if f.name not in ("label", "pick"))
+#: The driver keywords it may carry alongside; keys left unset fall
+#: back to the :func:`replay` defaults, which are the same both times.
+_DRIVER_KEYS = ("warmup_frac", "d", "tol", "transport")
+
+
 def replay_recorded(bundle: Dict[str, Any], trace: bool = False
                     ) -> List[Tuple[Dict[str, Any], LoadResult,
                                     Optional[EventTimeline]]]:
     """Re-run every traced replay of a recorded bundle.
 
     Reconstructs each record's arrival trace from its timeline
-    (:func:`arrivals_from_timeline`), regenerates the matrices from
-    the bundle's seed (matrix content depends only on ``(seed, index,
-    shape)``, so the replay solves the *same* matrices the recording
-    did) and replays it against the recorded settings.
+    (:func:`arrivals_from_timeline`, tenants included), regenerates the
+    matrices from the bundle's seed (matrix content depends only on
+    ``(seed, index, shape)``, so the replay solves the *same* matrices
+    the recording did), rebuilds the record's :class:`Setting` —
+    gateway overrides included, so gateway rows replay through the
+    gateway — and replays it.
 
     Parameters
     ----------
@@ -1249,10 +1084,13 @@ def replay_recorded(bundle: Dict[str, Any], trace: bool = False
             timeline = EventTimeline.from_dict(timeline)
         arrivals = arrivals_from_timeline(timeline)
         matrices = build_matrices(arrivals, seed=seed)
-        settings = {k: v for k, v in record["settings"].items()
-                    if k in _SETTING_KEYS}
+        recorded = record["settings"]
+        setting = Setting(label=record["label"],
+                          **{k: recorded[k] for k in _SETTING_FIELDS
+                             if k in recorded})
         result, replayed = _replay(
-            arrivals, matrices, scenario=record["scenario"],
-            label=record["label"], trace=trace, **settings)
+            arrivals, matrices, setting, scenario=record["scenario"],
+            trace=trace,
+            **{k: recorded[k] for k in _DRIVER_KEYS if k in recorded})
         out.append((record, result, replayed))
     return out

@@ -111,6 +111,13 @@ def _cmd_load_bench(args: argparse.Namespace) -> int:
         trace_bundle_to_json,
     )
 
+    def _print_tables(rows):
+        print(render_load_bench(rows))
+        tenant_table = render_tenant_bench(rows)
+        if tenant_table:
+            print()
+            print(tenant_table)
+
     if args.replay is not None and args.trace_out is not None:
         print("--replay and --trace-out are mutually exclusive",
               file=sys.stderr)
@@ -119,7 +126,7 @@ def _cmd_load_bench(args: argparse.Namespace) -> int:
         with open(args.replay, "r", encoding="utf-8") as fh:
             bundle = json.load(fh)
         replayed = replay_recorded(bundle, trace=True)
-        print(render_load_bench([res for _, res, _ in replayed]))
+        _print_tables([res for _, res, _ in replayed])
         print()
         matches = 0
         for record, res, _tl in replayed:
@@ -141,11 +148,7 @@ def _cmd_load_bench(args: argparse.Namespace) -> int:
     rows = compute_load_bench(scenario_names=scenarios, items=args.items,
                               seed=args.seed, warmup_frac=args.warmup,
                               trace_sink=sink, transport=args.transport)
-    print(render_load_bench(rows))
-    tenant_table = render_tenant_bench(rows)
-    if tenant_table:
-        print()
-        print(tenant_table)
+    _print_tables(rows)
     print(f"\n(seed: {args.seed}, warm-up excluded from percentiles: "
           f"{args.warmup:.0%}, transport: "
           f"{args.transport or 'pickle'}; latency is "
